@@ -22,8 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.constants import EPSILON
 from repro.errors import InvariantViolation, NotDenseError
+from repro.graphs.csr import common_neighbor_counts, csr, upper_edges
 from repro.local.network import Network
 
 #: LOCAL round cost of the O(1)-round ACD computation: 2 rounds to learn
@@ -101,111 +104,125 @@ def compute_acd(
     n = network.n
     friend_threshold = (1.0 - eta) * delta
 
-    # Shared-neighbor counts per edge, computed once with bitset
-    # intersections (per-edge popcount of two n-bit masks) — the
-    # friendship relation and the density classification both read them.
-    masks = [0] * n
-    for v in range(n):
-        mask = 0
-        for u in network.adjacency[v]:
-            mask |= 1 << u
-        masks[v] = mask
-    is_friend_edge: dict[tuple[int, int], bool] = {}
-    friend_counts = [0] * n
-    for v in range(n):
-        mask_v = masks[v]
-        for u in network.adjacency[v]:
-            if u < v:
-                continue
-            friendly = (mask_v & masks[u]).bit_count() >= friend_threshold
-            is_friend_edge[(v, u)] = friendly
-            if friendly:
-                friend_counts[v] += 1
-                friend_counts[u] += 1
+    # Shared-neighbor counts per edge, computed once over a CSR snapshot
+    # (repro.graphs.csr) — the friendship relation and the density
+    # classification both read them.
+    indptr, indices = csr(network)
+    src, dst = upper_edges(indptr, indices)
+    friendly = common_neighbor_counts(indptr, indices, src, dst) >= friend_threshold
+    friend_counts = np.bincount(src[friendly], minlength=n) + np.bincount(
+        dst[friendly], minlength=n
+    )
     density_threshold = (1.0 - eta) * delta
-    dense = [friend_counts[v] >= density_threshold for v in range(n)]
+    dense = friend_counts >= density_threshold
 
-    # Union-find over friend edges between dense vertices.
-    parent = list(range(n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for (v, u), friendly in is_friend_edge.items():
-        if friendly and dense[v] and dense[u]:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-
-    components: dict[int, list[int]] = {}
-    for v in range(n):
-        if dense[v]:
-            components.setdefault(find(v), []).append(v)
+    joined = friendly & dense[src] & dense[dst]
+    labels = _component_labels(n, src[joined], dst[joined])
 
     lower = (1.0 - epsilon / 4.0) * delta
     upper = (1.0 + epsilon) * delta
     inside_threshold = (1.0 - epsilon) * delta
 
-    cliques: list[list[int]] = []
-    clique_index = [-1] * n
-    for members in components.values():
-        # Peel vertices violating property (ii) until a fixpoint; peeled
-        # vertices become sparse.
-        keep = set(members)
-        changed = True
-        while changed:
-            changed = False
-            for v in list(keep):
-                inside = sum(1 for u in network.adjacency[v] if u in keep)
-                if inside < inside_threshold:
-                    keep.discard(v)
-                    changed = True
-        if not keep or not lower <= len(keep) <= upper:
-            continue
-        index = len(cliques)
-        clique = sorted(keep)
-        cliques.append(clique)
-        for v in clique:
-            clique_index[v] = index
+    # Peel vertices violating property (ii) until a fixpoint; peeled
+    # vertices become sparse.  What survives in a component is its
+    # unique k-core, so all components peel at once, in any order.
+    keep = dense.copy()
+    inner = dense[src] & dense[dst] & (labels[src] == labels[dst])
+    a, b = src[inner], dst[inner]
+    while True:
+        inside = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+        peeled = keep & (inside < inside_threshold)
+        if not peeled.any():
+            break
+        keep &= ~peeled
+        kept = keep[a] & keep[b]
+        a, b = a[kept], b[kept]
 
-    sparse = [v for v in range(n) if clique_index[v] == -1]
+    # Cliques in order of their component's smallest vertex.
+    members = np.flatnonzero(keep)
+    members = members[np.argsort(labels[members], kind="stable")]
+    _, starts, sizes = np.unique(
+        labels[members], return_index=True, return_counts=True
+    )
+    cliques: list[list[int]] = []
+    clique_index = np.full(n, -1, dtype=np.int64)
+    for start, size in zip(starts.tolist(), sizes.tolist()):
+        if lower <= size <= upper:
+            clique = members[start:start + size]
+            clique_index[clique] = len(cliques)
+            cliques.append(clique.tolist())
 
     if strict:
-        _check_outsider_bound(network, cliques, clique_index, epsilon, delta)
+        _check_outsider_bound(network, indptr, indices, clique_index, epsilon, delta)
 
     return ACD(
         epsilon=epsilon,
         cliques=cliques,
-        sparse=sparse,
-        clique_index=clique_index,
+        sparse=np.flatnonzero(clique_index == -1).tolist(),
+        clique_index=clique_index.tolist(),
         meta={"eta": eta, "delta": delta},
     )
 
 
+def _component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Components of the graph on ``range(n)`` with edges ``(a[i], b[i])``.
+
+    Returns each vertex's component label, the component's smallest
+    vertex.  Label propagation by hooking and pointer jumping: labels
+    form stars, every root hooks to the smallest root an edge joins it
+    to, and jumping flattens the trees back into stars.
+    """
+    labels = np.arange(n, dtype=np.int64)
+    while a.size:
+        root_a, root_b = labels[a], labels[b]
+        low = np.minimum(root_a, root_b)
+        np.minimum.at(labels, root_a, low)
+        np.minimum.at(labels, root_b, low)
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        split = labels[a] != labels[b]
+        a, b = a[split], b[split]
+    return labels
+
+
 def _check_outsider_bound(
     network: Network,
-    cliques: list[list[int]],
-    clique_index: list[int],
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    clique_index: np.ndarray,
     epsilon: float,
     delta: int,
 ) -> None:
     """Verify ACD property (iii)."""
     bound = (1.0 - epsilon / 2.0) * delta
-    for v in range(network.n):
-        counts: dict[int, int] = {}
-        own = clique_index[v]
-        for u in network.adjacency[v]:
-            index = clique_index[u]
-            if index != -1 and index != own:
-                counts[index] = counts.get(index, 0) + 1
-        for index, count in counts.items():
-            if count > bound:
-                raise InvariantViolation(
-                    f"ACD property (iii) violated: vertex {v} has {count} "
-                    f"neighbors in foreign almost-clique {index} "
-                    f"(bound {bound:.1f}); the input is outside the regime "
-                    "the Lemma 2 postprocessing handles"
-                )
+    n = network.n
+    owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    foreign = clique_index[indices]
+    outside = (foreign != -1) & (foreign != clique_index[owners])
+    pairs, counts = np.unique(
+        owners[outside] * n + foreign[outside], return_counts=True
+    )
+    over = pairs[counts > bound]
+    if not over.size:
+        return
+    # The smallest offending vertex, and its first offending clique in
+    # adjacency order.
+    v = int(over[0]) // n
+    own = clique_index[v]
+    per_clique: dict[int, int] = {}
+    for u in network.adjacency[v]:
+        index = int(clique_index[u])
+        if index != -1 and index != own:
+            per_clique[index] = per_clique.get(index, 0) + 1
+    index, count = next(
+        (index, count) for index, count in per_clique.items() if count > bound
+    )
+    raise InvariantViolation(
+        f"ACD property (iii) violated: vertex {v} has {count} "
+        f"neighbors in foreign almost-clique {index} "
+        f"(bound {bound:.1f}); the input is outside the regime "
+        "the Lemma 2 postprocessing handles"
+    )

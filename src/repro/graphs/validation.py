@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 from repro.errors import GraphStructureError
+from repro.graphs.csr import common_neighbor_counts, csr, upper_edges
 from repro.graphs.instance import DenseInstance
 from repro.local.network import Network
 
@@ -31,29 +34,35 @@ def assert_no_delta_plus_one_clique(network: Network) -> None:
     Brooks' theorem makes the (Delta+1)-clique the only dense obstruction
     to Delta-colorability (besides odd cycles, which have Delta = 2).  A
     (Delta+1)-clique forces each member's entire neighborhood inside the
-    clique, so it suffices to check, per vertex, whether its closed
-    neighborhood of size Delta+1 is fully connected — an O(Delta^2) local
-    test rather than general clique finding.
+    clique, so a vertex ``v`` of degree Delta lies in one iff every
+    neighbor ``u`` has degree Delta and shares Delta - 1 neighbors with
+    it, that is, iff ``N[u] = N[v]`` for the closed neighborhoods.  Equal
+    closed-neighborhood sums are therefore necessary, and only the edges
+    that pass this filter need the exact common-neighbor counts of
+    :mod:`repro.graphs.csr`.  The error names the smallest such vertex.
     """
     delta = network.max_degree
     if delta <= 1:
         return
-    adjacency = network.adjacency
-    for v in range(network.n):
-        neighbors = adjacency[v]
-        if len(neighbors) != delta:
-            continue
-        closed = network.neighbor_set(v) | {v}
-        # Closed neighborhood of size Delta+1 is a clique iff every
-        # member sees the other Delta members; set intersection keeps the
-        # O(Delta^2) pair test in C instead of Python-level pair loops.
-        if all(
-            len(network.neighbor_set(u) & closed) == delta for u in neighbors
-        ):
-            raise GraphStructureError(
-                f"(Delta+1)-clique found around vertex {v}; "
-                "Delta-coloring is impossible (Brooks' theorem)"
-            )
+    n = network.n
+    indptr, indices = csr(network)
+    src, dst = upper_edges(indptr, indices)
+    full = np.diff(indptr) == delta
+    prefix = np.concatenate(([0], np.cumsum(indices)))
+    closed_sums = prefix[indptr[1:]] - prefix[indptr[:-1]] + np.arange(n)
+    tight = full[src] & full[dst] & (closed_sums[src] == closed_sums[dst])
+    tight[tight] = (
+        common_neighbor_counts(indptr, indices, src[tight], dst[tight]) == delta - 1
+    )
+    blocked = np.bincount(src[~tight], minlength=n) + np.bincount(
+        dst[~tight], minlength=n
+    )
+    found = np.flatnonzero(full & (blocked == 0))
+    if found.size:
+        raise GraphStructureError(
+            f"(Delta+1)-clique found around vertex {int(found[0])}; "
+            "Delta-coloring is impossible (Brooks' theorem)"
+        )
 
 
 def count_inter_clique_multiplicity(instance: DenseInstance) -> int:

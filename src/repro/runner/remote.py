@@ -222,6 +222,8 @@ class RemoteExecutor:
         self._requeued = 0
         self._cache_hits = 0
         self._deaths = 0
+        #: Set when :meth:`run` stops the probe loop.
+        self._closing = False
 
     # -- lifecycle -----------------------------------------------------
 
@@ -232,6 +234,7 @@ class RemoteExecutor:
         try:
             await self._drive(loop)
         finally:
+            self._closing = True
             probe.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await probe
@@ -576,6 +579,13 @@ class RemoteExecutor:
                     {"op": "metrics"},
                     timeout_s=self._options.probe_timeout_s,
                 )
+                if self._closing:
+                    # run() cancelled this task while the reply was
+                    # arriving.  Python 3.11's asyncio.wait_for (inside
+                    # the request) drops a cancel that lands in the same
+                    # loop iteration as the result, so the flag, not the
+                    # cancel, is what ends the loop.
+                    return
                 if body.get("ok"):
                     metrics = body.get("metrics") or {}
                     gauges = metrics.get("gauges") or {}

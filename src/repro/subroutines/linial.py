@@ -158,25 +158,58 @@ class LinialColoring(DistributedAlgorithm):
     def on_round(self, node: Node, api: Api, inbox: Sequence[tuple[int, int]]) -> None:
         step = node.state["step"]
         q, k = self.schedule[step]
-        own = _digits(node.state["color"], q, k + 1)
-        neighbor_polys = [_digits(color, q, k + 1) for _, color in inbox]
-        chosen_x = None
-        for x in range(q):
-            own_val = _eval_poly(own, x, q)
-            if all(_eval_poly(p, x, q) != own_val for p in neighbor_polys):
-                chosen_x = x
-                break
-        if chosen_x is None:
+        point = _evaluation_point(node.state["color"], [c for _, c in inbox], q, k)
+        if point is None:
             raise SubroutineError(
                 f"Linial step found no evaluation point (q={q}, k={k}); "
                 "the input coloring was not proper"
             )
-        node.state["color"] = chosen_x * q + _eval_poly(own, chosen_x, q)
+        chosen_x, value = point
+        node.state["color"] = chosen_x * q + value
         node.state["step"] = step + 1
         if node.state["step"] == len(self.schedule):
             api.halt(node.state["color"])
         else:
             api.broadcast(node.state["color"])
+
+
+def _evaluation_point(
+    color: int, neighbor_colors: list[int], q: int, k: int
+) -> tuple[int, int] | None:
+    """First ``x`` in ``range(q)`` where ``color``'s polynomial differs
+    from every neighbor's, with its value there; None if there is none.
+
+    Colors are read as polynomials of degree <= ``k`` over ``F_q``
+    whose coefficients are their ``k + 1`` low base-``q`` digits.
+    """
+    if k > 2:
+        own = _digits(color, q, k + 1)
+        polys = [_digits(c, q, k + 1) for c in neighbor_colors]
+        for x in range(q):
+            own_val = _eval_poly(own, x, q)
+            if all(_eval_poly(p, x, q) != own_val for p in polys):
+                return x, own_val
+        return None
+    # k <= 2: p(x) = a + x * (b + x * c), evaluated inline.  p(0) is the
+    # low digit and nearly every search ends at x = 0, so the other
+    # digits are decoded only when x = 0 is taken.
+    a = color % q
+    if a not in [u % q for u in neighbor_colors]:
+        return 0, a
+    square = q * q if k == 2 else 0
+    b, c = color // q % q, color // square % q if square else 0
+    polys = [
+        (u % q, u // q % q, u // square % q if square else 0)
+        for u in neighbor_colors
+    ]
+    for x in range(1, q):
+        own_val = (a + x * (b + x * c)) % q
+        for a_u, b_u, c_u in polys:
+            if (a_u + x * (b_u + x * c_u)) % q == own_val:
+                break
+        else:
+            return x, own_val
+    return None
 
 
 def _eval_poly(coeffs: list[int], x: int, q: int) -> int:

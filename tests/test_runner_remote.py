@@ -445,6 +445,48 @@ class TestStragglerHedging:
         assert elapsed < 20, "first-result-wins should beat the straggler"
 
 
+class TestShutdown:
+    def test_run_ends_when_a_probe_reply_swallows_the_cancel(self, tmp_path):
+        # Under Python 3.11, asyncio.wait_for returns the reply instead of
+        # raising when a cancel lands in the loop iteration that completes
+        # it.  The stub request stands in for that race: it answers the
+        # first cancel with a reply and honours later ones.
+        from repro.runner.remote import RemoteExecutor
+
+        probes: list[str] = []
+
+        async def request(body, *, timeout_s=None):
+            probes.append(body["op"])
+            try:
+                await asyncio.sleep(30)
+            except asyncio.CancelledError:
+                if len(probes) > 1:
+                    raise
+            return {"ok": True}
+
+        async def drive(loop):
+            while not probes:
+                await asyncio.sleep(0.01)
+
+        executor = RemoteExecutor(
+            [], [], lambda *args, **kwargs: None,
+            backends=[f"unix:{tmp_path / 'unused.sock'}"], timeout=None,
+            retries=1, base_seed=0, options=RemoteOptions(**FAST),
+        )
+        executor._backends[0].client.request = request
+        executor._drive = drive
+
+        async def main():
+            started = time.monotonic()
+            await asyncio.wait_for(executor.run(), 5)
+            return time.monotonic() - started
+
+        # Left running, the probe loop would re-probe and block for the
+        # whole 5 s until wait_for cancelled run().
+        assert asyncio.run(main()) < 2.5
+        assert probes == ["metrics"]
+
+
 @pytest.mark.slow
 class TestRealFleet:
     """One end-to-end pass through real ``repro serve`` subprocesses."""
